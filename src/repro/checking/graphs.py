@@ -227,6 +227,106 @@ def _reconstruct_cycle(parent: Mapping[V, Optional[V]], vertex: V,
     return cycle
 
 
+def shortest_cycle(graph: DirectedGraph[V]) -> Optional[List[Tuple[V, V]]]:
+    """The edges of one shortest cycle, in cycle order (``None`` if acyclic).
+
+    Every vertex of a cyclic strongly connected component, in vertex order,
+    roots a breadth-first search for the shortest way back to itself
+    inside its component.  Each search is cut off at the best length found
+    so far, and a finished root is left out of later searches (every cycle
+    through it is already accounted for), so the witness is deterministic
+    and starts at its root.
+    """
+    successors = graph._successors
+    component: Dict[V, int] = {}
+    for number, members in enumerate(strongly_connected_components(graph)):
+        if len(members) > 1 or graph.has_edge(members[0], members[0]):
+            for vertex in members:
+                component[vertex] = number
+    best: Optional[List[V]] = None
+    for root in graph.vertices:
+        if root not in component:
+            continue
+        home = component.pop(root)
+        parent: Dict[V, V] = {root: root}
+        frontier = [root]
+        closing: Optional[V] = None
+        depth = 0
+        while frontier and closing is None and \
+                (best is None or depth + 1 < len(best)):
+            following: List[V] = []
+            for vertex in frontier:
+                for successor in successors[vertex]:
+                    if successor == root:
+                        closing = vertex
+                        break
+                    if successor not in parent and \
+                            component.get(successor) == home:
+                        parent[successor] = vertex
+                        following.append(successor)
+                if closing is not None:
+                    break
+            frontier = following
+            depth += 1
+        if closing is not None:
+            path = [closing]
+            while path[-1] != root:
+                path.append(parent[path[-1]])
+            path.reverse()
+            best = path
+    if best is None:
+        return None
+    return [(vertex, best[(position + 1) % len(best)])
+            for position, vertex in enumerate(best)]
+
+
+def critical_edges(graph: DirectedGraph[V],
+                   cycle: Sequence[Tuple[V, V]]) -> List[Tuple[V, V]]:
+    """The edges of ``cycle`` whose removal alone makes ``graph`` acyclic.
+
+    Removing an edge breaks only the cycles through it, so an edge whose
+    removal restores acyclicity lies on *every* cycle -- in particular on
+    ``cycle``, any one cycle of the graph.  Testing that cycle's edges, one
+    depth-first search each, therefore finds all of them; they are returned
+    in cycle order.
+    """
+    return [edge for edge in cycle if _acyclic_without(graph, edge)]
+
+
+def _acyclic_without(graph: DirectedGraph[V], removed: Tuple[V, V]) -> bool:
+    """Whether ``graph`` minus the edge ``removed`` is acyclic (plain DFS)."""
+    successors = graph._successors
+    cut_source, cut_target = removed
+
+    def pending(vertex: V) -> Iterable[V]:
+        if vertex == cut_source:
+            return iter([target for target in successors[vertex]
+                         if target != cut_target])
+        return iter(successors[vertex])
+
+    on_stack, done = 1, 2
+    state: Dict[V, int] = {}
+    for root in successors:
+        if root in state:
+            continue
+        state[root] = on_stack
+        stack = [(root, pending(root))]
+        while stack:
+            vertex, targets = stack[-1]
+            for target in targets:
+                mark = state.get(target)
+                if mark is None:
+                    state[target] = on_stack
+                    stack.append((target, pending(target)))
+                    break
+                if mark == on_stack:
+                    return False
+            else:
+                state[vertex] = done
+                stack.pop()
+    return True
+
+
 def has_cycle(graph: DirectedGraph[V]) -> bool:
     return not find_cycle_dfs(graph).acyclic
 

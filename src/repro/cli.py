@@ -131,7 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
     batch = commands.add_parser(
         "batch",
         help="portfolio driver: sweep topology x routing x switching "
-             "scenarios through shared incremental CDCL sessions")
+             "scenarios, each decided by the explicit dependency-graph "
+             "check")
     batch.add_argument("--matrix", type=str, nargs="+", default=None,
                        metavar="EXPR",
                        help="build the sweep from a scenario matrix "
@@ -168,8 +169,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="torus sizes for the VC escape scenarios "
                             "(default: none)")
     batch.add_argument("--cross-check", action="store_true",
-                       help="re-derive every verdict with the explicit "
-                            "check and assert agreement")
+                       help="also re-decide every verdict with the CDCL "
+                            "engine (one shared incremental session per "
+                            "group) and fail the group on any disagreement; "
+                            "fills the solver statistics, which are empty "
+                            "otherwise")
     batch.add_argument("--jobs", type=int, default=1, metavar="N",
                        help="worker processes; scenario groups are "
                             "scheduled group-affine across them and the "

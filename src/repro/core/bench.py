@@ -234,7 +234,7 @@ def run_portfolio_bench(profile: str = "smoke",
     from repro.core.portfolio import run_portfolio
 
     runs: List[Dict[str, object]] = []
-    reference_projection: Optional[Dict[str, object]] = None
+    reference_projection: Optional[Tuple] = None
     if trace_dir is not None:
         os.makedirs(trace_dir, exist_ok=True)
     for jobs in jobs_list:
@@ -263,7 +263,10 @@ def run_portfolio_bench(profile: str = "smoke",
                          "error": f"{type(exc).__name__}: {exc}"})
             continue
         wall = time.perf_counter() - started
-        projection = report.comparable_dict()
+        # comparable_dict() empties the solver counters (only a
+        # cross-check fills them); gate their determinism here as well.
+        projection = (report.comparable_dict(), report.session_stats,
+                      [verdict.solver for verdict in report.verdicts])
         if reference_projection is None:
             reference_projection = projection
         elif projection != reference_projection:

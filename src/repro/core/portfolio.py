@@ -1,26 +1,27 @@
-"""Batch verification portfolios: many scenarios, one incremental solver.
+"""Batch verification portfolios: many scenarios, one sweep.
 
 The paper verifies one instantiation (HERMES / XY / wormhole).  A
 production verification flow instead sweeps a *portfolio* of
 topology x routing x switching scenarios -- is each candidate design
-deadlock-free, and if not, which escape edges would fix it?  This module is
-the batch driver for that sweep, built on the incremental CDCL engine:
+deadlock-free, and if not, which escape edges would fix it?  This module
+runs that sweep:
 
 * scenarios are described declaratively (:class:`~repro.core.spec.ScenarioSpec`
   via :func:`~repro.core.spec.expand_matrix`) and resolved lazily in the
   worker that runs them, through the per-process construction cache;
-* scenarios are grouped by topology;
-* per topology group, **one** :class:`~repro.core.deadlock.DeadlockQuerySession`
-  hosts the union of every scenario's dependency edges, each behind a
-  selector variable (encoded the first time a scenario contributes it);
-* each scenario's verdict is then a single solve under assumptions --
-  clauses learned while deciding one routing function speed up the next.
+* scenarios are grouped by topology, and a group always runs on one
+  worker, in submission order;
+* each scenario is decided by Theorem 1 directly: a linear-time DFS cycle
+  search over its dependency edges (the escape-class edges, plus explicit
+  (V-1) coverage, for a virtual-channel scenario);
+* a deadlock-prone scenario reports one shortest dependency cycle and the
+  edges of it whose removal alone restores deadlock freedom.
 
-Compare :func:`run_portfolio` (shared incremental sessions) with
-``check_c3_routing_induced`` in a loop (fresh graph check per scenario):
-the verdicts agree (cross-checked when ``cross_check=True``), the
-incremental route additionally yields UNSAT-core cycle witnesses and
-escape-edge suggestions for the failing designs.
+``cross_check=True`` adds the independent CDCL decider: per topology group,
+**one** :class:`~repro.core.deadlock.DeadlockQuerySession` hosts the union
+of every scenario's dependency edges, each behind a selector variable, and
+re-decides each scenario as one solve under assumptions.  Any disagreement
+with the explicit verdict raises.
 """
 
 from __future__ import annotations
@@ -31,7 +32,12 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.checking.graphs import DirectedGraph
+from repro.checking.graphs import (
+    DirectedGraph,
+    critical_edges,
+    find_cycle_dfs,
+    shortest_cycle,
+)
 from repro.checking.sat import SolverTimeout
 from repro.core.cache import instance_cache
 from repro.core.checkpoint import (
@@ -42,9 +48,10 @@ from repro.core.checkpoint import (
 )
 from repro.core.store import VerdictStore
 from repro.core.deadlock import DeadlockQuerySession
-from repro.core.dependency import routing_dependency_graph
+from repro.core.dependency import class_edges, routing_dependency_graph
 from repro.core.faultplan import execute_directive, resolve_fault_plan
 from repro.core.instance import NoCInstance
+from repro.core.obligations import check_v1_escape_coverage
 from repro.core.spec import ScenarioSpec, expand_matrix
 from repro.network.port import Port
 
@@ -204,13 +211,14 @@ class ScenarioVerdict:
     deadlock_free: Optional[bool]
     #: Dependency edges of this scenario's routing function.
     edges: int
-    #: Edges this scenario newly contributed to the shared encoding (0 for
-    #: a scenario whose edges were all seen before -- its query is purely
-    #: incremental).
+    #: Edges this scenario newly added to its group's edge union (0 for a
+    #: scenario whose edges were all seen before; under ``cross_check``
+    #: these are the edges newly encoded into the shared session).
     new_edges: int
     elapsed_seconds: float
-    #: For deadlock-prone designs: the UNSAT-core cycle witness and the
-    #: single-edge removals that would restore deadlock freedom.
+    #: For deadlock-prone designs: one shortest dependency cycle, in cycle
+    #: order, and the edges of it whose removal alone would restore
+    #: deadlock freedom (in the same order).
     cycle_core: List[Tuple[Port, Port]] = field(default_factory=list)
     escape_edges: List[Tuple[Port, Port]] = field(default_factory=list)
     #: Which deadlock condition produced the verdict: ``"theorem1"``
@@ -219,8 +227,9 @@ class ScenarioVerdict:
     condition: str = "theorem1"
     #: Virtual channels of the scenario (1 for the single-VC model).
     num_vcs: int = 1
-    #: Solver work this scenario's queries cost on the shared session
-    #: (stats-counter deltas: decisions, propagations, conflicts, ...).
+    #: Solver work this scenario's cross-check cost on the group's shared
+    #: session (stats-counter deltas: decisions, propagations, conflicts,
+    #: ...); empty unless the run was cross-checked.
     solver: Dict[str, int] = field(default_factory=dict)
     #: The originating :meth:`~repro.core.spec.ScenarioSpec.to_dict` image
     #: for spec-backed scenarios (``None`` for hand-built instances).
@@ -309,7 +318,8 @@ class PortfolioReport:
 
     verdicts: List[ScenarioVerdict]
     elapsed_seconds: float
-    #: Per topology group: solver statistics of the shared session.
+    #: Per topology group: solver statistics of the shared cross-check
+    #: session (empty unless the run was cross-checked).
     session_stats: Dict[str, Dict[str, int]] = field(default_factory=dict)
     #: Worker processes the run was scheduled across (1 = in-process serial).
     jobs: int = 1
@@ -402,13 +412,17 @@ class PortfolioReport:
         """The deterministic projection of :meth:`to_json_dict`.
 
         Serial and parallel runs of the same scenario list produce
-        *identical* verdicts, ordering, cores and solver statistics; only
-        wall times, the job count and the cache counters (which depend on
+        *identical* verdicts, ordering, cores and escape edges; only wall
+        times, the job count and the cache counters (which depend on
         process boundaries and cross-group sharing) legitimately differ.
         Scheduling artefacts -- the shard markers and the originating spec
         dicts -- are stripped too, so a matrix-expanded run can be compared
         bit for bit against the same scenarios built by hand, and the
         merged shard reports against the unsharded run, with one ``==``.
+        Solver counters exist only when ``cross_check`` ran the CDCL
+        sessions, so the projection keeps the ``session_stats`` and
+        per-scenario ``solver`` keys but empties them: a cross-checked run
+        compares equal to a plain one.
         """
         payload = self.to_json_dict()
         del payload["jobs"]
@@ -416,10 +430,12 @@ class PortfolioReport:
         del payload["shard"]
         del payload["recovery"]
         payload.pop("store", None)
+        payload["session_stats"] = {}
         for scenario in payload["scenarios"]:
             del scenario["wall_time_s"]
             del scenario["spec"]
             del scenario["shard"]
+            scenario["solver"] = {}
         summary = payload["summary"]
         del summary["elapsed_seconds"]
         del summary["jobs"]
@@ -598,19 +614,36 @@ def _failure_verdict(index: int, scenario: Scenario, group_key: str,
     )
 
 
+def _solver_delta(session: Optional[DeadlockQuerySession],
+                  before: Dict[str, int]) -> Dict[str, int]:
+    """Solver work since ``before`` (empty without a cross-check session)."""
+    if session is None:
+        return {}
+    after = session.solver_stats
+    return {key: after[key] - before.get(key, 0) for key in after}
+
+
 def _run_group(payload: Tuple,
                trace=None) -> Tuple[str, List[Tuple[int, ScenarioVerdict]],
                                     Dict[str, int], Dict[str, int]]:
-    """Run one scenario group through one shared incremental session.
+    """Decide one scenario group with the explicit graph check.
+
+    Each scenario is decided by a DFS cycle search over its query edges
+    (the whole dependency graph, or the escape-class edges of a VC
+    scenario, which also need (V-1) coverage).  A prone scenario's cycle
+    core is one shortest cycle, and its escape edges are the core edges
+    whose removal alone makes the query graph acyclic.  With
+    ``cross_check`` the group also builds one shared incremental CDCL
+    session over the union of its topologies and re-decides every
+    scenario on it, raising on any disagreement.
 
     ``payload`` is a single picklable tuple ``(group_key, indexed_scenarios,
     seed, analyse_failures, cross_check, shard[, budget_s, fault_directive,
     parent_pid])`` so the function can be shipped as-is to a
     :class:`~concurrent.futures.ProcessPoolExecutor` worker.  Spec-backed
     scenarios arrive as cheap declarative specs and are resolved *here*,
-    through the worker's own :class:`~repro.core.cache.InstanceCache`; the
-    session's vertex universe is the union of the group's topologies,
-    enumerated in submission order.  Scenarios of one group are always
+    through the worker's own :class:`~repro.core.cache.InstanceCache`.
+    Scenarios of one group are always
     processed in their original submission order by exactly this code path,
     whether the portfolio runs serially or across workers -- which is what
     makes parallel runs bit-for-bit reproductions of serial ones (see
@@ -620,8 +653,9 @@ def _run_group(payload: Tuple,
     contract: ``budget_s`` arms a cooperative group deadline (checked
     between instance builds, at scenario starts, and -- via
     :meth:`~repro.core.deadlock.DeadlockQuerySession.set_interrupt` --
-    every few dozen conflicts *inside* a running solve); ``fault_directive``
-    is a test-only injected failure (see :mod:`repro.core.faultplan`);
+    every few dozen conflicts inside a running cross-check solve);
+    ``fault_directive`` is a test-only injected failure (see
+    :mod:`repro.core.faultplan`);
     ``parent_pid`` lets the worker tell whether it is sacrificial (kill and
     hang directives never fire in the orchestrating process).
 
@@ -634,14 +668,15 @@ def _run_group(payload: Tuple,
     ``trace`` (a :class:`~repro.core.trace.TraceWriter`, serial runs only
     -- writers cannot cross the process-pool boundary) opens a
     ``scenario_begin``/``scenario_end`` span per scenario, nesting the
-    session's solver/oracle events, and closes the group with a
-    ``session_summary`` carrying the shared session's aggregate counters.
+    cross-check session's solver/oracle events, and closes a cross-checked
+    group with a ``session_summary`` carrying the session's aggregate
+    counters.
     A cut-off group additionally emits ``group_timeout``/``group_error``
     with the deterministic reason.
 
     Returns the group key, the ``(original_index, verdict)`` pairs, the
-    group session's solver statistics, and the construction-cache counter
-    deltas the group accounted for.
+    cross-check session's solver statistics (empty without one), and the
+    construction-cache counter deltas the group accounted for.
     """
     from repro.routing.escape import EscapeChannelRouting
 
@@ -689,18 +724,18 @@ def _run_group(payload: Tuple,
                                    "misses": cache.misses - misses_before}
             resolved.append((index, scenario, instance))
             instances[index] = instance
-        vertices: Dict[Port, None] = {}
-        for _, _, instance in resolved:
-            for port in instance.topology.ports:
-                vertices.setdefault(port)
-
-        base: DirectedGraph[Port] = DirectedGraph()
-        for port in vertices:
-            base.add_vertex(port)
-        session = DeadlockQuerySession(base, name=group_key, seed=seed,
-                                       trace=trace)
-        if budget_s is not None:
-            session.set_interrupt(interrupt)
+        if cross_check:
+            # The CDCL cross-check hosts the union of the group's vertex
+            # universes in one shared session, enumerated in submission
+            # order, and re-decides every scenario on it.
+            base: DirectedGraph[Port] = DirectedGraph()
+            for _, _, instance in resolved:
+                for port in instance.topology.ports:
+                    base.add_vertex(port)
+            session = DeadlockQuerySession(base, name=group_key, seed=seed,
+                                           trace=trace)
+            if budget_s is not None:
+                session.set_interrupt(interrupt)
         known_edges: set = set()
 
         for index, scenario, instance in resolved:
@@ -710,69 +745,54 @@ def _run_group(payload: Tuple,
                            group=group_key, index=index,
                            shard=list(shard) if shard is not None else None)
             scenario_start = time.perf_counter()
-            solver_before = session.solver_stats
+            solver_before = (session.solver_stats if session is not None
+                             else {})
             current = (index, scenario, instance, solver_before,
                        scenario_start)
             graph = routing_dependency_graph(instance.routing)
             edges = graph.edges()
             new_edges = 0
-            for source, target in edges:
-                if (source, target) not in known_edges:
-                    session.add_edge(source, target)
-                    known_edges.add((source, target))
+            for edge in edges:
+                if edge not in known_edges:
+                    known_edges.add(edge)
                     new_edges += 1
+                    if session is not None:
+                        session.add_edge(*edge)
 
             relation = (instance.routing
                         if isinstance(instance.routing, EscapeChannelRouting)
                         else None)
-            coverage = None
             if relation is None:
                 condition = "theorem1"
                 num_vcs = 1
-                query_edges = edges
-                deadlock_free = session.is_deadlock_free_edges(edges)
+                query = graph
+                covered = True
             else:
                 # The VC-granular Duato condition: explicit (V-1) coverage
-                # plus the escape-class restriction of (V-2) on the shared
-                # session.
-                from repro.core.dependency import class_edges
-                from repro.core.obligations import check_v1_escape_coverage
-
+                # plus acyclicity of the escape class (V-2).
                 condition = "vc-escape"
                 num_vcs = relation.num_vcs
-                query_edges = class_edges(graph, relation.escape_vcs)
-                coverage = check_v1_escape_coverage(relation)
-                deadlock_free = (coverage.holds
-                                 and session.is_deadlock_free_edges(
-                                     query_edges))
+                query = DirectedGraph.from_edges(
+                    class_edges(graph, relation.escape_vcs))
+                covered = check_v1_escape_coverage(relation).holds
+            acyclic = find_cycle_dfs(query).acyclic
+            deadlock_free = covered and acyclic
 
             cycle_core: List[Tuple[Port, Port]] = []
             escape: List[Tuple[Port, Port]] = []
-            if not deadlock_free and analyse_failures:
-                cycle_core = session.cycle_core_for(query_edges) or []
-                escape = [edge for edge in cycle_core
-                          if session.is_deadlock_free_edges(
-                              e for e in query_edges if e != edge)]
+            if not acyclic and analyse_failures:
+                cycle_core = shortest_cycle(query)
+                escape = critical_edges(query, cycle_core)
 
-            if cross_check:
-                if relation is None:
-                    from repro.checking.graphs import find_cycle_dfs
-
-                    reference = find_cycle_dfs(graph).acyclic
-                else:
-                    from repro.core.theorems import check_deadlock_freedom_vc
-
-                    reference = check_deadlock_freedom_vc(
-                        relation, graph=graph, coverage=coverage).holds
-                if reference != deadlock_free:
+            if session is not None:
+                reference = session.is_deadlock_free_edges(query.edges())
+                if reference != acyclic:
                     raise AssertionError(
-                        f"portfolio verdict disagrees with the explicit "
-                        f"check for {scenario.name}: sat={deadlock_free} "
-                        f"explicit={reference}")
+                        f"portfolio verdict disagrees with the CDCL "
+                        f"cross-check for {scenario.name}: "
+                        f"explicit={acyclic} sat={reference}")
 
-            solver_after = session.solver_stats
-            solver_delta = {key: solver_after[key] - solver_before.get(key, 0)
-                            for key in solver_after}
+            solver_delta = _solver_delta(session, solver_before)
             elapsed = time.perf_counter() - scenario_start
             if trace is not None:
                 trace.emit("scenario_end", scenario=scenario.name,
@@ -819,11 +839,7 @@ def _run_group(payload: Tuple,
             # reconciliation (scenario deltas sum to session aggregates)
             # must keep holding on truncated traces.
             index, scenario, instance, solver_before, started = current
-            partial: Dict[str, int] = {}
-            if session is not None:
-                solver_after = session.solver_stats
-                partial = {key: solver_after[key] - solver_before.get(key, 0)
-                           for key in solver_after}
+            partial = _solver_delta(session, solver_before)
             elapsed = time.perf_counter() - started
             if trace is not None:
                 trace.emit("scenario_end", scenario=scenario.name,
@@ -929,20 +945,23 @@ def run_portfolio(scenarios: Sequence[Scenario],
                   store=None,
                   store_readonly: bool = False,
                   _fault_plan=None) -> PortfolioReport:
-    """Run every scenario through shared incremental deadlock sessions.
+    """Decide every scenario with the explicit Theorem 1 check.
 
-    ``analyse_failures`` additionally extracts the cycle core and the
-    escape-edge suggestions for deadlock-prone scenarios (a handful of
-    extra incremental solves each).  ``cross_check`` re-derives every
-    verdict with the linear-time explicit check (DFS cycle search, or the
-    explicit (V-1)/(V-2) checker for VC scenarios) and asserts agreement --
-    the belt-and-braces mode used by the tests.
+    ``analyse_failures`` additionally reports, for deadlock-prone
+    scenarios, one shortest dependency cycle (the cycle core) and the
+    escape edges: the edges of that cycle whose removal alone makes the
+    scenario's query graph acyclic (a few DFS runs each).
+    ``cross_check`` re-decides every verdict with the CDCL engine -- one
+    shared incremental session per group, one solve under assumptions per
+    scenario -- and raises on any disagreement; the sessions' solver
+    statistics then fill ``ScenarioVerdict.solver`` and
+    ``PortfolioReport.session_stats``, which are empty otherwise.
 
     ``jobs`` schedules the scenario *groups* across that many worker
     processes (``0``/``None``: one per core).  Scheduling is group-affine:
     scenarios sharing a ``group_key`` stay on one worker, in submission
-    order, so the group-union session seeding and the per-process
-    construction caches keep paying off exactly as in a serial run.  The
+    order, so the per-process construction caches (and a cross-check's
+    group session) keep paying off exactly as in a serial run.  The
     verdicts -- ordering, verdict bits, cores, solver statistics -- are
     identical to ``jobs=1``; only wall times and cache counters differ
     (assert with :meth:`PortfolioReport.comparable_dict`).
@@ -965,20 +984,20 @@ def run_portfolio(scenarios: Sequence[Scenario],
     Scenarios whose routing is a
     :class:`~repro.routing.escape.EscapeChannelRouting` are decided by the
     VC-granular escape condition: (V-1) by explicit enumeration, (V-2) as
-    an incremental solve restricted to the escape-class edges of the shared
-    universe.  Their group sessions therefore host *channel* vertices; mix
-    VC and single-VC scenarios in one group only if their vertex universes
-    agree.
+    acyclicity of the escape-class edges.  Their cross-check sessions
+    therefore host *channel* vertices; mix VC and single-VC scenarios in
+    one group only if their vertex universes agree.
 
     ``trace`` (a :class:`~repro.core.trace.TraceWriter`) records the run as
     a structured event stream -- portfolio/scenario spans wrapping the
-    oracle and solver events.  Tracing is **serial only**: a writer cannot
-    cross the process-pool boundary, so ``trace`` with ``jobs != 1`` is an
-    error rather than a silently partial stream.
+    cross-check's oracle and solver events.  Tracing is **serial only**: a
+    writer cannot cross the process-pool boundary, so ``trace`` with
+    ``jobs != 1`` is an error rather than a silently partial stream.
 
     **Fault tolerance.**  ``group_timeout`` bounds every scenario group's
-    wall time (seconds): the group's session cooperatively aborts its
-    running solve (:class:`~repro.checking.sat.SolverTimeout`) and the
+    wall time (seconds): the group stops at its next scenario boundary (a
+    cross-check session also aborts its running solve,
+    :class:`~repro.checking.sat.SolverTimeout`) and the
     group's unfinished scenarios become ``status="timeout"`` verdicts; a
     truly wedged worker is additionally reaped by the parent's watch
     loop.  ``run_deadline`` bounds the whole run the same way.  A crashed

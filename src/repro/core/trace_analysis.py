@@ -39,7 +39,10 @@ def analyze_summary(events: Sequence[Dict[str, object]]) -> Dict[str, object]:
 
     ``reconciled`` is True iff, for every session group, the sum of the
     per-scenario ``scenario_end.solver`` deltas equals the group's
-    ``session_summary.stats`` on **every** counter the summary reports.
+    ``session_summary.stats`` on **every** counter either side reports (a
+    missing counter counts as 0).  A group without solver work -- a run
+    decided without the CDCL cross-check has no session and no summary --
+    reconciles trivially, and its scenarios' work shares are 0.
     """
     event_counts: Dict[str, int] = {}
     group_scenario_sums: Dict[str, Dict[str, int]] = {}
@@ -95,9 +98,9 @@ def analyze_summary(events: Sequence[Dict[str, object]]) -> Dict[str, object]:
         stats = group_stats.get(group, {})
         sums = group_scenario_sums.get(group, {})
         mismatched = sorted(
-            key for key in stats
+            key for key in set(stats) | set(sums)
             if int(stats.get(key, 0)) != int(sums.get(key, 0)))
-        if mismatched or not stats:
+        if mismatched:
             reconciled = False
         for key, value in stats.items():
             totals[key] = totals.get(key, 0) + int(value)
@@ -106,7 +109,7 @@ def analyze_summary(events: Sequence[Dict[str, object]]) -> Dict[str, object]:
             "scenarios": group_scenarios.get(group, 0),
             "stats": stats,
             "scenario_delta_sum": sums,
-            "reconciled": not mismatched and bool(stats),
+            "reconciled": not mismatched,
             "mismatched_keys": mismatched,
         })
 
@@ -171,7 +174,7 @@ def format_summary(summary: Dict[str, object]) -> str:
              group["stats"].get("conflicts", 0),
              group["stats"].get("propagations", 0),
              "yes" if group["reconciled"] else
-             f"NO ({', '.join(group['mismatched_keys']) or 'no summary'})"]
+             f"NO ({', '.join(group['mismatched_keys'])})"]
             for group in summary["groups"]]
     if rows:
         lines.append(format_table(
@@ -185,9 +188,13 @@ def format_summary(summary: Dict[str, object]) -> str:
         lines.append(format_table(
             ["scenario", "group", "work", "share %", "verdict"],
             scenario_rows, title="per-scenario solver share"))
-    lines.append("reconciliation: " +
-                 ("OK (scenario deltas sum to session aggregates)"
-                  if summary["reconciled"] else "MISMATCH"))
+    if not summary["reconciled"]:
+        verdict = "MISMATCH"
+    elif totals:
+        verdict = "OK (scenario deltas sum to session aggregates)"
+    else:
+        verdict = "OK (no solver work: the run was not cross-checked)"
+    lines.append("reconciliation: " + verdict)
     return "\n".join(lines)
 
 

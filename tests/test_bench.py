@@ -191,7 +191,8 @@ class TestRunners:
     def test_tiny_portfolio_bench_serial_vs_parallel(self):
         """End to end on the tiny profile: both job counts run, agree, and
         the recorded runs carry the full per-scenario payload."""
-        section = run_portfolio_bench(profile="tiny", jobs_list=(1, 2))
+        section = run_portfolio_bench(profile="tiny", jobs_list=(1, 2),
+                                      cross_check=True)
         assert [run["jobs"] for run in section["runs"]] == [1, 2]
         assert section["parallel_speedup"] is not None
         for run in section["runs"]:

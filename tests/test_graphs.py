@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.checking.graphs import (
     DirectedGraph,
     check_rank_certificate,
+    critical_edges,
     find_cycle_dfs,
     has_cycle,
     is_acyclic,
@@ -13,6 +14,7 @@ from repro.checking.graphs import (
     is_acyclic_by_scc,
     is_acyclic_by_toposort,
     longest_path_length,
+    shortest_cycle,
     strongly_connected_components,
     topological_sort,
 )
@@ -119,6 +121,57 @@ class TestCycleSearch:
             cycle = result.cycle
             for index, vertex in enumerate(cycle):
                 assert graph.has_edge(vertex, cycle[(index + 1) % len(cycle)])
+
+
+class TestFailureAnalysis:
+    """One shortest cycle and its critical edges, against brute force."""
+
+    def test_shortest_cycle_of_acyclic_graph_is_none(self):
+        assert shortest_cycle(graph_from_edges([(1, 2), (2, 3)])) is None
+
+    def test_self_loop_is_the_shortest_cycle(self):
+        graph = graph_from_edges([(1, 2), (2, 3), (3, 1), (3, 3)])
+        assert shortest_cycle(graph) == [(3, 3)]
+
+    def test_shortest_cycle_skips_a_longer_first_cycle(self):
+        graph = graph_from_edges([(1, 2), (2, 3), (3, 4), (4, 1),
+                                  (5, 6), (6, 5)])
+        assert shortest_cycle(graph) == [(5, 6), (6, 5)]
+
+    def test_critical_edges_follow_the_cycle(self):
+        # Two cycles share the edge 1 -> 2; only that edge is on both.
+        graph = graph_from_edges([(1, 2), (2, 3), (3, 1), (2, 4), (4, 1)])
+        cycle = shortest_cycle(graph)
+        assert cycle == [(1, 2), (2, 3), (3, 1)]
+        assert critical_edges(graph, cycle) == [(1, 2)]
+
+    @given(random_digraph())
+    @settings(max_examples=150, deadline=None)
+    def test_shortest_cycle_length_matches_brute_force(self, graph):
+        import networkx as nx
+
+        lengths = [len(cycle)
+                   for cycle in nx.simple_cycles(graph.to_networkx())]
+        cycle = shortest_cycle(graph)
+        if not lengths:
+            assert cycle is None
+            return
+        assert len(cycle) == min(lengths)
+        for position, (source, target) in enumerate(cycle):
+            assert graph.has_edge(source, target)
+            assert cycle[(position + 1) % len(cycle)][0] == target
+
+    @given(random_digraph())
+    @settings(max_examples=150, deadline=None)
+    def test_critical_edges_match_removing_each_edge(self, graph):
+        cycle = shortest_cycle(graph)
+        if cycle is None:
+            return  # nothing to break
+        expected = {edge for edge in graph.edges()
+                    if is_acyclic_by_toposort(graph_from_edges(
+                        [other for other in graph.edges() if other != edge],
+                        vertices=graph.vertices))}
+        assert set(critical_edges(graph, cycle)) == expected
 
 
 class TestSCC:

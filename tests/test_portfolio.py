@@ -143,7 +143,8 @@ class TestPortfolioDriver:
 
     def test_sessions_are_shared_within_groups(self):
         report = run_portfolio(
-            standard_portfolio(mesh_sizes=(3,), ring_sizes=()))
+            standard_portfolio(mesh_sizes=(3,), ring_sizes=()),
+            cross_check=True)
         assert list(report.session_stats) == ["mesh-3x3"]
         # Later scenarios re-use earlier encodings: at least one scenario
         # contributed no new edges at all.
@@ -203,7 +204,8 @@ class TestParallelPortfolio:
 
     def test_per_scenario_solver_deltas_sum_to_session_stats(self):
         report = run_portfolio(standard_portfolio(mesh_sizes=(3,),
-                                                  ring_sizes=()))
+                                                  ring_sizes=()),
+                               cross_check=True)
         totals = {}
         for verdict in report.verdicts:
             assert verdict.solver  # schema 2: every scenario records work
@@ -306,6 +308,58 @@ class TestReportSchema:
         payload = json.loads(path.read_text())
         assert payload["schema"] == 4
         assert payload["summary"]["scenarios"] == len(payload["scenarios"])
+
+
+class TestExplicitDecider:
+    """The explicit graph check decides; the CDCL session only cross-checks."""
+
+    def test_cross_check_changes_only_the_solver_counters(self):
+        from repro.core.portfolio import scenarios_from_specs
+        from repro.core.spec import expand_matrix
+        from tests.test_fault_tolerance import ACCEPTANCE_MATRIX
+
+        scenarios = scenarios_from_specs(expand_matrix(ACCEPTANCE_MATRIX))
+        plain = run_portfolio(scenarios)
+        crossed = run_portfolio(scenarios, cross_check=True)
+        assert plain.session_stats == {}
+        assert not any(verdict.solver for verdict in plain.verdicts)
+        assert set(crossed.session_stats) \
+            == {scenario.group_key() for scenario in scenarios}
+        assert all(verdict.solver for verdict in crossed.verdicts)
+
+        def stripped(report):
+            payload = report.comparable_dict()
+            del payload["session_stats"]
+            for entry in payload["scenarios"]:
+                del entry["solver"]
+            return payload
+
+        assert stripped(plain) == stripped(crossed)
+        assert plain.comparable_dict() == crossed.comparable_dict()
+
+    def test_cross_check_disagreement_fails_the_group(self, monkeypatch):
+        monkeypatch.setattr(DeadlockQuerySession, "is_deadlock_free_edges",
+                            lambda self, edges: False)
+        report = run_portfolio(
+            standard_portfolio(mesh_sizes=(), ring_sizes=(4,)),
+            cross_check=True)
+        chain = report.verdicts[0]
+        assert chain.scenario == "ring-4/chain"
+        assert chain.status == "error"
+        assert "disagrees with the CDCL cross-check" in chain.error
+
+    def test_escape_edges_lie_along_the_shortest_core(self):
+        report = run_portfolio(
+            standard_portfolio(mesh_sizes=(3,), ring_sizes=(4,)))
+        for verdict in report.verdicts:
+            if verdict.deadlock_free:
+                assert not verdict.cycle_core and not verdict.escape_edges
+                continue
+            core = verdict.cycle_core
+            for position, (_, target) in enumerate(core):
+                assert core[(position + 1) % len(core)][0] == target
+            positions = [core.index(edge) for edge in verdict.escape_edges]
+            assert positions == sorted(positions)
 
 
 def _full_space_successor_sets(space_a, space_b):

@@ -441,10 +441,11 @@ class TestStoreTraceLane:
         from repro.core.trace_analysis import analyze_summary
 
         store = str(tmp_path / "store")
-        run_portfolio(small_scenarios(), store=store)
+        run_portfolio(small_scenarios(), store=store, cross_check=True)
         path = str(tmp_path / "trace.jsonl")
         with TraceWriter(path, label="warm store run") as trace:
-            run_portfolio(small_scenarios(), store=store, trace=trace)
+            run_portfolio(small_scenarios(), store=store, trace=trace,
+                          cross_check=True)
         events = load_trace(path)
         assert validate_trace(events) == []
         lookups = [e for e in events if e["ev"] == "store_lookup"]
@@ -465,7 +466,8 @@ class TestStoreTraceLane:
         store = str(tmp_path / "store")
         path = str(tmp_path / "trace.jsonl")
         with TraceWriter(path, label="cold store run") as trace:
-            run_portfolio(small_scenarios(), store=store, trace=trace)
+            run_portfolio(small_scenarios(), store=store, trace=trace,
+                          cross_check=True)
         summary = analyze_summary(load_trace(path))
         assert summary["store"]["misses"] == 2
         assert summary["store"]["writes"] == 2
@@ -477,7 +479,7 @@ class TestStoreTraceLane:
 
         path = str(tmp_path / "trace.jsonl")
         with TraceWriter(path, label="plain run") as trace:
-            run_portfolio(small_scenarios(), trace=trace)
+            run_portfolio(small_scenarios(), trace=trace, cross_check=True)
         summary = analyze_summary(load_trace(path))
         assert "store" not in summary
 

@@ -305,7 +305,8 @@ class TestSolverTechniqueEvents:
         saved = os.environ.get("REPRO_SOLVER_OPTS")
         os.environ["REPRO_SOLVER_OPTS"] = self.ALL_KNOBS
         try:
-            yield _traced_portfolio(SMALL_MATRIX, label="knobs-on")
+            yield _traced_portfolio(SMALL_MATRIX, label="knobs-on",
+                                    cross_check=True)
         finally:
             if saved is None:
                 os.environ.pop("REPRO_SOLVER_OPTS", None)
@@ -417,7 +418,8 @@ class TestTraceAnalysis:
 
     @pytest.fixture(scope="class")
     def run(self):
-        return _traced_portfolio(SMALL_MATRIX, label="analysis")
+        return _traced_portfolio(SMALL_MATRIX, label="analysis",
+                                 cross_check=True)
 
     def test_summary_reconciles_with_solver_stats(self, run):
         report, events = run
@@ -497,6 +499,42 @@ class TestTraceAnalysis:
             json.loads(json.dumps(analysis))
 
 
+class TestSolverFreeTrace:
+    """A run decided without the CDCL cross-check has no solver work: its
+    trace still validates and reconciles, with every share defined."""
+
+    def test_summary_reconciles_trivially(self):
+        report, events = _traced_portfolio(SMALL_MATRIX, label="explicit")
+        assert report.session_stats == {}
+        assert validate_trace(events) == []
+        summary = trace_analysis.analyze_summary(events)
+        assert summary["reconciled"] is True
+        assert summary["totals"] == {}
+        assert all(group["reconciled"] for group in summary["groups"])
+        assert [scenario["share"] for scenario in summary["scenarios"]] \
+            == [0.0] * len(report.verdicts)
+        assert "no solver work" in trace_analysis.format_summary(summary)
+
+    def test_missing_session_summary_still_mismatches(self):
+        _, events = _traced_portfolio(SMALL_MATRIX, label="crossed",
+                                      cross_check=True)
+        truncated = [event for event in events
+                     if event["ev"] != "session_summary"]
+        summary = trace_analysis.analyze_summary(truncated)
+        assert summary["reconciled"] is False
+        assert all(group["mismatched_keys"] for group in summary["groups"])
+
+    def test_cli_summary_exits_zero(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = str(tmp_path / "run.jsonl")
+        assert main(["batch", "--matrix", SMALL_MATRIX,
+                     "--trace", path]) == 0
+        capsys.readouterr()
+        assert main(["trace", "summary", path]) == 0
+        assert "reconciliation: OK" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # CLI round-trips
 # ---------------------------------------------------------------------------
@@ -507,7 +545,7 @@ class TestTraceCli:
         from repro.cli import main
 
         path = str(tmp_path / "run.jsonl")
-        assert main(["batch", "--matrix", SMALL_MATRIX,
+        assert main(["batch", "--matrix", SMALL_MATRIX, "--cross-check",
                      "--trace", path]) == 0
         events = load_trace(path)
         assert validate_trace(events) == []
