@@ -86,6 +86,18 @@ class DirectedGraph(Generic[V]):
             graph.add_edge(source, target)
         return graph
 
+    @classmethod
+    def from_successors(cls, successors: Dict[V, Dict[V, None]]
+                        ) -> "DirectedGraph[V]":
+        """Adopt a complete ``vertex -> {successor: None}`` map as is.
+
+        Every successor must itself be a key; the map is not copied, so the
+        caller hands it over.  The bulk counterpart of ``add_edge``.
+        """
+        graph: DirectedGraph[V] = cls()
+        graph._successors = successors
+        return graph
+
     # -- queries --------------------------------------------------------------------
     @property
     def vertices(self) -> List[V]:
@@ -127,8 +139,8 @@ class DirectedGraph(Generic[V]):
     def subgraph(self, vertices: Iterable[V]) -> "DirectedGraph[V]":
         keep = set(vertices)
         sub: DirectedGraph[V] = DirectedGraph()
-        for vertex in keep:
-            if vertex in self._successors:
+        for vertex in self._successors:
+            if vertex in keep:
                 sub.add_vertex(vertex)
         for source, targets in self._successors.items():
             if source not in keep:

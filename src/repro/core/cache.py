@@ -19,6 +19,13 @@ result:
   corrupt the shared copy.
 * **escape-coverage reports** ((V-1) of the VC condition), keyed the same
   way -- the portfolio driver and the VC theorem both need them.
+* **routing tables** (:class:`~repro.routing.base.RoutingTable`), keyed
+  the same way: the one evaluation of ``next_hops`` per (resource,
+  destination) pair that reachability, the dependency graph and (V-1)
+  coverage all read.  Unlike the entries above, a table is transient: it
+  is dropped as soon as its readers are done -- the full dependency graph
+  and, for a VC relation, the (V-1) report -- so a sweep holds at most the
+  tables of the scenario in progress, never one per routing.
 
 (The numbering-constraint expression cache of earlier revisions is gone:
 the oracles now emit each edge's comparison directly as clauses --
@@ -53,6 +60,9 @@ class InstanceCache:
         # routing-relation identity -> (V-1) coverage report
         self._coverage: "weakref.WeakKeyDictionary" = \
             weakref.WeakKeyDictionary()
+        # routing-function identity -> (RoutingTable, readers still to come)
+        self._tables: "weakref.WeakKeyDictionary" = \
+            weakref.WeakKeyDictionary()
         # ScenarioSpec -> NoCInstance (specs are frozen and hashable)
         self._instances: Dict[object, object] = {}
         self.hits = 0
@@ -65,12 +75,14 @@ class InstanceCache:
             "misses": self.misses,
             "graphs": len(self._graphs),
             "coverage_reports": len(self._coverage),
+            "tables": len(self._tables),
             "instances": len(self._instances),
         }
 
     def clear(self) -> None:
         self._graphs.clear()
         self._coverage.clear()
+        self._tables.clear()
         self._instances.clear()
         self.hits = 0
         self.misses = 0
@@ -101,11 +113,44 @@ class InstanceCache:
         self._instances[spec] = instance
         return instance
 
+    # -- routing tables -----------------------------------------------------------
+    def routing_table(self, routing):
+        """The live :class:`~repro.routing.base.RoutingTable` of ``routing``.
+
+        Created (empty -- columns fill on demand) on the first request and
+        shared until :meth:`table_read` has heard from every reader.  Table
+        lookups are not counted as cache hits or misses.
+        """
+        entry = self._tables.get(routing)
+        if entry is not None:
+            return entry[0]
+        from repro.routing.base import RoutingTable
+        from repro.routing.escape import EscapeChannelRouting
+
+        table = RoutingTable(routing)
+        readers = {"graph"}
+        if isinstance(routing, EscapeChannelRouting):
+            readers.add("coverage")
+        try:
+            self._tables[routing] = (table, readers)
+        except TypeError:  # pragma: no cover - non-weakref-able routing
+            pass
+        return table
+
+    def table_read(self, routing, reader: str) -> None:
+        """Note that ``reader`` (``"graph"`` or ``"coverage"``) has read the
+        routing's table; the table is dropped once no reader is left."""
+        entry = self._tables.get(routing)
+        if entry is not None:
+            entry[1].discard(reader)
+            if not entry[1]:
+                del self._tables[routing]
+
     # -- dependency graphs --------------------------------------------------------
     def dependency_graph(self, routing):
         """The memoised routing-induced dependency graph of ``routing``.
 
-        Computed on first request (via the plain enumeration of
+        Computed on first request (from the routing table, via
         :func:`repro.core.dependency.routing_dependency_graph`), frozen, and
         returned for every later request with the same routing object.
         """

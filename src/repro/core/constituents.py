@@ -48,6 +48,12 @@ class RoutingFunction(abc.ABC):
     #: Safety bound on route length, as a multiple of the port count.
     MAX_ROUTE_FACTOR = 4
 
+    #: The :class:`~repro.routing.base.OccurringPairsReachability` behind
+    #: ``reachable`` when ``s R d`` means "occurs on a route from a local
+    #: in-port"; ``None`` for a closed-form predicate.  Tells the routing
+    #: table to explore routes instead of scanning every port.
+    explored_reachability = None
+
     @abc.abstractmethod
     def next_hops(self, current: Port, destination: Port) -> List[Port]:
         """All ports the routing function may route to next."""

@@ -33,6 +33,7 @@ from repro.checking.graphs import (
     is_acyclic_by_scc,
     is_acyclic_by_toposort,
 )
+from repro.core.cache import instance_cache
 from repro.core.constituents import RoutingFunction
 from repro.core.errors import SpecificationError
 from repro.network.port import Port
@@ -134,38 +135,42 @@ def routing_dependency_graph(routing: RoutingFunction,
     """The dependency graph *induced* by a routing function.
 
     Edges are the pairs ``(p, q)`` such that ``q ∈ R(p, d)`` for some
-    reachable destination ``d``.  This is computed by plain enumeration over
-    all ports and all destinations, which is exact for bounded networks.
+    reachable destination ``d``.  They are read off the routing's
+    :class:`~repro.routing.base.RoutingTable` (one column per destination),
+    which is exact for bounded networks.  Vertices follow topology port
+    order and each vertex's successors follow destination order, then
+    ``next_hops`` order.
 
-    The enumeration is the single most expensive construction of the
-    verification flow, and the same routing function's graph is requested
-    by the portfolio verdict, the cross-check, the escape analysis and the
-    theorem checkers.  With ``cache=True`` (the default) the full-universe
-    graph (``destinations=None``) is therefore memoised per routing object
-    in the process-wide :class:`~repro.core.cache.InstanceCache`; the
-    returned graph is **frozen** -- copy it (e.g. via ``subgraph``) before
-    mutating.  Pass ``cache=False`` (or explicit ``destinations``) to force
-    a fresh, mutable enumeration.
+    The construction is the most expensive step of the verification flow,
+    and the same routing function's graph is requested by the portfolio
+    verdict, the cross-check, the escape analysis and the theorem
+    checkers.  With ``cache=True`` (the default) the full-universe graph
+    (``destinations=None``) is therefore memoised per routing object in
+    the process-wide :class:`~repro.core.cache.InstanceCache`; the returned
+    graph is **frozen** -- copy it (e.g. via ``subgraph``) before mutating.
+    Pass ``cache=False`` (or explicit ``destinations``, which reads only
+    those columns) for a fresh, mutable graph.
     """
+    cache_of = instance_cache()
     if cache and destinations is None:
-        from repro.core.cache import instance_cache
-
-        return instance_cache().dependency_graph(routing)
-    topology = routing.topology
+        return cache_of.dependency_graph(routing)
+    table = cache_of.routing_table(routing)
+    columns = [table.column(destination) for destination in
+               (table.destinations if destinations is None
+                else destinations)]
+    resources = table.resources
+    targets: List[Dict[Port, None]] = [{} for _ in resources]
+    for column in columns:
+        if column is None:
+            continue  # not a destination of the routing: no edges
+        for position, hops in enumerate(column):
+            if hops:
+                successors = targets[position]
+                for hop in hops:
+                    successors[resources[hop]] = None
     if destinations is None:
-        destinations = routing.destinations()
-    graph: DirectedGraph[Port] = DirectedGraph()
-    for port in topology.ports:
-        graph.add_vertex(port)
-    for port in topology.ports:
-        for destination in destinations:
-            if port == destination:
-                continue
-            if not routing.reachable(port, destination):
-                continue
-            for successor in routing.next_hops(port, destination):
-                graph.add_edge(port, successor)
-    return graph
+        cache_of.table_read(routing, "graph")
+    return DirectedGraph.from_successors(dict(zip(resources, targets)))
 
 
 class AcyclicityReport:

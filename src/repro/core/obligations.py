@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.checking.graphs import DirectedGraph
+from repro.core.cache import instance_cache
 from repro.core.configuration import Configuration
 from repro.core.constituents import (
     InjectionMethod,
@@ -299,38 +300,45 @@ def check_v1_escape_coverage(relation,
     def run() -> Tuple[bool, int, List[str], Dict[str, object]]:
         from repro.network.vc import port_of
 
-        topology = relation.topology
-        destinations = relation.destinations()
+        # One pass over the routing table the dependency graph reads too,
+        # with the per-channel facts the checks need as index arrays.
+        table = instance_cache().routing_table(relation)
+        resources = table.resources
+        ports = [port_of(channel) for channel in resources]
+        nodes = [port.node for port in ports]
+        escape = [relation.is_escape_resource(channel)
+                  for channel in resources]
+        columns = [(destination, nodes[table.index[destination]],
+                    table.column(destination))
+                   for destination in table.destinations]
         separated = relation.classes_separated
         checks = 0
         counterexamples: List[str] = []
-        for channel in topology.ports:
-            port = port_of(channel)
+        for position, channel in enumerate(resources):
+            port = ports[position]
             if not port.is_input:
                 continue  # headers wait at in-channels only (credits)
-            escape_channel = relation.is_escape_resource(channel)
-            for destination in destinations:
-                if channel == destination:
-                    continue
-                if port.node == port_of(destination).node:
+            node = nodes[position]
+            closed = separated and escape[position] and not port.is_local
+            for destination, target_node, column in columns:
+                hops = column[position]
+                if hops is None:
+                    continue  # the destination itself, or not reachable
+                if node == target_node:
                     continue  # ejection is always possible at the target node
-                if not relation.reachable(channel, destination):
-                    continue
                 checks += 1
-                hops = relation.next_hops(channel, destination)
-                escapes = [hop for hop in hops
-                           if relation.is_escape_resource(hop)]
+                escapes = sum(escape[hop] for hop in hops)
                 if not escapes:
                     if len(counterexamples) < max_counterexamples:
                         counterexamples.append(
                             f"{channel} has no escape-class hop towards "
                             f"{destination}")
-                elif (separated and escape_channel and not port.is_local
-                        and len(escapes) != len(hops)):
+                elif closed and escapes != len(hops):
                     if len(counterexamples) < max_counterexamples:
                         counterexamples.append(
                             f"escape channel {channel} may leave the escape "
                             f"class towards {destination}")
+        instance_cache().table_read(relation, "coverage")
         return (not counterexamples, checks, counterexamples,
                 {"escape_vcs": list(relation.escape_vcs),
                  "classes_separated": separated})
@@ -338,8 +346,6 @@ def check_v1_escape_coverage(relation,
     if cache and max_counterexamples == 10:
         # Only the default-shaped report is shared; a custom
         # counterexample budget gets a private run.
-        from repro.core.cache import instance_cache
-
         return instance_cache().escape_coverage(relation)
     return _timed(run, "V-1")
 

@@ -25,7 +25,7 @@ class FullyAdaptiveMinimalRouting(MeshRoutingFunction):
 
     def __init__(self, mesh: Mesh2D) -> None:
         super().__init__(mesh)
-        self._reachability = OccurringPairsReachability(self)
+        self.explored_reachability = OccurringPairsReachability(self)
 
     def name(self) -> str:
         return "Radaptive"
@@ -37,7 +37,7 @@ class FullyAdaptiveMinimalRouting(MeshRoutingFunction):
     def reachable(self, source: Port, destination: Port) -> bool:
         if not super().reachable(source, destination):
             return False
-        return self._reachability(source, destination)
+        return self.explored_reachability(source, destination)
 
     def _route_from_in_port(self, current: Port,
                             destination: Port) -> List[Port]:
@@ -60,7 +60,7 @@ class ZigZagRouting(MeshRoutingFunction):
 
     def __init__(self, mesh: Mesh2D) -> None:
         super().__init__(mesh)
-        self._reachability = OccurringPairsReachability(self)
+        self.explored_reachability = OccurringPairsReachability(self)
 
     def name(self) -> str:
         return "Rzigzag"
@@ -68,7 +68,7 @@ class ZigZagRouting(MeshRoutingFunction):
     def reachable(self, source: Port, destination: Port) -> bool:
         if not super().reachable(source, destination):
             return False
-        return self._reachability(source, destination)
+        return self.explored_reachability(source, destination)
 
     def _route_from_in_port(self, current: Port,
                             destination: Port) -> List[Port]:

@@ -16,13 +16,20 @@ can actually occur on routes that start at local in-ports; it is used as the
 ``s R d`` reachability predicate for the partially adaptive routing
 functions, whose port-level definition is only meaningful on occurring
 pairs.
+
+:class:`RoutingTable` tabulates a routing function once per destination:
+reachability, the dependency graph and the (V-1) coverage check all read
+the same table, so ``next_hops`` is evaluated at most once per
+(resource, destination) pair.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+import weakref
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
+from repro.core.cache import instance_cache
 from repro.core.constituents import RoutingFunction
 from repro.core.errors import RoutingError
 from repro.network.mesh import Mesh2D
@@ -117,6 +124,120 @@ class MeshRoutingFunction(RoutingFunction):
         return port
 
 
+#: One destination column of a :class:`RoutingTable`: per resource index,
+#: the indices of its next hops, or ``None`` where the pair is not
+#: enumerated (the destination itself, or a resource it is not reachable
+#: from).
+Column = List[Optional[Tuple[int, ...]]]
+
+
+class RoutingTable:
+    """A routing function evaluated once per (resource, destination) pair.
+
+    The resources are the topology's ports, numbered densely in topology
+    port order (``resources`` / ``index``).  Each destination gets one
+    :data:`Column`, built on first request in a single pass, with each
+    next-hop tuple in ``next_hops`` order:
+
+    * a routing whose ``s R d`` is the occurring-pairs predicate (it sets
+      ``explored_reachability``) is explored from the local in-ports, and
+      the same exploration records the reached resources that answer its
+      :class:`OccurringPairsReachability`;
+    * any other routing is scanned: ``next_hops`` for every resource its
+      closed-form ``reachable`` admits.
+
+    Tables are shared through
+    :meth:`repro.core.cache.InstanceCache.routing_table`, which drops each
+    table once its dependency graph (and, for VC relations, its (V-1)
+    report) exists.  A table refers to its routing
+    only weakly, so the cache's weak key stays collectable.
+    """
+
+    def __init__(self, routing: RoutingFunction,
+                 explore: Optional[bool] = None) -> None:
+        reachability = routing.explored_reachability
+        if explore is None:
+            explore = reachability is not None
+        self._routing = weakref.ref(routing)
+        self.resources: List[Port] = routing.topology.ports
+        self.index: Dict[Port, int] = {
+            resource: position
+            for position, resource in enumerate(self.resources)}
+        self.destinations: List[Port] = routing.destinations()
+        self._explores = explore
+        # destination -> reached resources; shared with the routing's
+        # reachability predicate so it outlives the table.
+        self._reached: Dict[Port, FrozenSet[Port]] = (
+            reachability.reached if explore and reachability is not None
+            else {})
+        self._columns: Dict[Port, Column] = {
+            destination: None for destination in self.destinations}
+
+    def column(self, destination: Port) -> Optional[Column]:
+        """The column of ``destination`` (``None`` for a non-destination)."""
+        if destination not in self._columns:
+            return None
+        column = self._columns[destination]
+        if column is None:
+            routing = self._routing()
+            column = (self._explore(routing, destination) if self._explores
+                      else self._scan(routing, destination))
+            self._columns[destination] = column
+        return column
+
+    def reached(self, destination: Port) -> FrozenSet[Port]:
+        """Resources that routes from local in-ports to ``destination`` visit.
+
+        Only exploring tables record them; the destination itself is
+        included when some route arrives.
+        """
+        found = self._reached.get(destination)
+        if found is None:
+            self.column(destination)
+            found = self._reached.get(destination, frozenset())
+        return found
+
+    def _hops(self, routing: RoutingFunction, resource: Port,
+              destination: Port) -> Tuple[int, ...]:
+        hops = routing.next_hops(resource, destination)
+        try:
+            return tuple([self.index[hop] for hop in hops])
+        except KeyError as missing:
+            raise RoutingError(
+                f"{routing.name()} routes {resource} to {missing.args[0]}, "
+                f"which is not a port of its topology") from None
+
+    def _scan(self, routing: RoutingFunction, destination: Port) -> Column:
+        column: Column = [None] * len(self.resources)
+        target = self.index[destination]
+        for position, resource in enumerate(self.resources):
+            if position != target and routing.reachable(resource,
+                                                        destination):
+                column[position] = self._hops(routing, resource, destination)
+        return column
+
+    def _explore(self, routing: RoutingFunction, destination: Port) -> Column:
+        resources = self.resources
+        column: Column = [None] * len(resources)
+        target = self.index[destination]
+        seen = bytearray(len(resources))
+        frontier = [self.index[source]
+                    for source in routing.topology.local_in_ports()]
+        while frontier:
+            position = frontier.pop()
+            if seen[position]:
+                continue
+            seen[position] = 1
+            if position == target:
+                continue
+            hops = self._hops(routing, resources[position], destination)
+            column[position] = hops
+            frontier.extend(hop for hop in hops if not seen[hop])
+        self._reached[destination] = frozenset(
+            resource for resource, mark in zip(resources, seen) if mark)
+        return column
+
+
 def occurring_pairs(routing: RoutingFunction,
                     ) -> FrozenSet[Tuple[Port, Port]]:
     """All (port, destination) pairs that occur on routes from local in-ports.
@@ -126,38 +247,36 @@ def occurring_pairs(routing: RoutingFunction,
     ``d``) pairs.  The result is the natural ``s R d`` predicate for
     partially adaptive routing functions whose port-level definition is only
     exercised on ports a packet can actually be at.
+
+    A view of the routing's :class:`RoutingTable` when the routing explores
+    anyway; closed-form routings get a private exploring table.
     """
-    topology = routing.topology
-    pairs: Set[Tuple[Port, Port]] = set()
-    for destination in routing.destinations():
-        frontier: List[Port] = []
-        for source in topology.local_in_ports():
-            frontier.append(source)
-        seen: Set[Port] = set()
-        while frontier:
-            port = frontier.pop()
-            if port in seen:
-                continue
-            seen.add(port)
-            pairs.add((port, destination))
-            if port == destination:
-                continue
-            for successor in routing.next_hops(port, destination):
-                if successor not in seen:
-                    frontier.append(successor)
-    return frozenset(pairs)
+    table = (instance_cache().routing_table(routing)
+             if routing.explored_reachability is not None
+             else RoutingTable(routing, explore=True))
+    return frozenset((resource, destination)
+                     for destination in table.destinations
+                     for resource in table.reached(destination))
 
 
 class OccurringPairsReachability:
-    """A ``reachable`` predicate backed by :func:`occurring_pairs` (cached)."""
+    """A ``reachable`` predicate backed by :func:`occurring_pairs`.
+
+    Answered from the reached resources that the routing table's
+    exploration records (one destination at a time); they stay here after
+    the table itself is dropped.
+    """
 
     def __init__(self, routing: RoutingFunction) -> None:
         self._routing = routing
-        self._pairs: Optional[FrozenSet[Tuple[Port, Port]]] = None
+        #: destination -> reached resources (filled by routing tables)
+        self.reached: Dict[Port, FrozenSet[Port]] = {}
 
     def __call__(self, source: Port, destination: Port) -> bool:
-        if self._pairs is None:
-            self._pairs = occurring_pairs(self._routing)
         if source == destination:
             return True
-        return (source, destination) in self._pairs
+        reached = self.reached.get(destination)
+        if reached is None:
+            reached = instance_cache().routing_table(
+                self._routing).reached(destination)
+        return source in reached

@@ -120,7 +120,7 @@ class EscapeChannelRouting(RoutingFunction):
         self._escape_vc_count = int(escape_vc_count)
         self.route_policy = route_policy
         self._style = style or ("dateline" if escape_vc_count > 1 else "xy")
-        self._reachability = OccurringPairsReachability(self)
+        self.explored_reachability = OccurringPairsReachability(self)
 
     # -- class structure ------------------------------------------------------
     @property
@@ -253,7 +253,7 @@ class EscapeChannelRouting(RoutingFunction):
         source_port = port_of(source)
         if source_port.is_local and source_port.is_output:
             return False
-        return self._reachability(source, destination)
+        return self.explored_reachability(source, destination)
 
     def _is_valid_destination(self, destination) -> bool:
         return (isinstance(destination, VirtualChannel)

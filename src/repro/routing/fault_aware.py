@@ -63,8 +63,8 @@ class FaultAwareRouting(RoutingFunction):
                 continue
             self._adjacency[out_port.node].append((out_port, in_port.node))
         self._distances: Dict[Coordinate, Dict[Coordinate, int]] = {}
-        self._reachability = (OccurringPairsReachability(self)
-                              if self._adaptive else None)
+        self.explored_reachability = (OccurringPairsReachability(self)
+                                      if self._adaptive else None)
 
     @property
     def topology(self) -> Topology:
@@ -154,8 +154,8 @@ class FaultAwareRouting(RoutingFunction):
             return True
         if source.name is PortName.LOCAL and source.direction is Direction.OUT:
             return False
-        if self._reachability is not None:
-            return self._reachability(source, destination)
+        if self.explored_reachability is not None:
+            return self.explored_reachability(source, destination)
         return source.node in self._distances_to(destination.node)
 
     def _is_valid_destination(self, destination: Port) -> bool:

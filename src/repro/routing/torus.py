@@ -24,7 +24,7 @@ class TorusXYRouting(RoutingFunction):
 
     def __init__(self, torus: Torus2D) -> None:
         self._torus = torus
-        self._reachability = OccurringPairsReachability(self)
+        self.explored_reachability = OccurringPairsReachability(self)
 
     @property
     def topology(self) -> Torus2D:
@@ -75,7 +75,7 @@ class TorusXYRouting(RoutingFunction):
             return True
         if source.name is PortName.LOCAL and source.direction is Direction.OUT:
             return False
-        return self._reachability(source, destination)
+        return self.explored_reachability(source, destination)
 
     def _is_valid_destination(self, destination: Port) -> bool:
         return (destination.name is PortName.LOCAL

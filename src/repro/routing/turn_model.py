@@ -45,7 +45,7 @@ class _TurnModelRouting(MeshRoutingFunction):
 
     def __init__(self, mesh: Mesh2D) -> None:
         super().__init__(mesh)
-        self._reachability = OccurringPairsReachability(self)
+        self.explored_reachability = OccurringPairsReachability(self)
 
     @property
     def is_deterministic(self) -> bool:
@@ -56,7 +56,7 @@ class _TurnModelRouting(MeshRoutingFunction):
             return False
         if not self.mesh.has_port(source):
             return False
-        return self._reachability(source, destination)
+        return self.explored_reachability(source, destination)
 
     def _route_from_in_port(self, current: Port,
                             destination: Port) -> List[Port]:

@@ -1,5 +1,9 @@
 """Tests for the graph algorithms of the checking substrate."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -58,6 +62,41 @@ class TestDirectedGraph:
         assert sub.has_edge(1, 2)
         assert not sub.has_edge(2, 3)
         assert sub.vertex_count == 2
+
+    def test_subgraph_keeps_the_insertion_order(self):
+        graph = graph_from_edges([("d", "c"), ("c", "b"), ("b", "a"),
+                                  ("a", "d")])
+        sub = graph.subgraph({"a", "b", "c"})
+        assert sub.vertices == ["c", "b", "a"]
+        assert sub.edges() == [("c", "b"), ("b", "a")]
+
+    def test_subgraph_order_does_not_depend_on_the_hash_seed(self):
+        """The V-2 counterexample (a DFS over a class subgraph) used to
+        change with ``PYTHONHASHSEED`` on the shared 1-VC mesh."""
+        repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        script = (
+            "from repro.core.spec import expand_matrix\n"
+            "from repro.core.obligations import check_v2_escape_acyclicity\n"
+            "spec, = expand_matrix('vc-mesh:3x3, vcs=[1]')\n"
+            "result = check_v2_escape_acyclicity(spec.build().routing)\n"
+            "assert not result.holds\n"
+            "print(result.counterexamples)\n")
+        outputs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONPATH=os.path.join(repo, "src"),
+                       PYTHONHASHSEED=seed)
+            result = subprocess.run([sys.executable, "-c", script], env=env,
+                                    capture_output=True, text=True,
+                                    timeout=120)
+            assert result.returncode == 0, result.stderr
+            outputs.append(result.stdout)
+        assert outputs[0] == outputs[1]
+
+    def test_from_successors_adopts_the_map(self):
+        successors = {1: {2: None}, 2: {}}
+        graph = DirectedGraph.from_successors(successors)
+        assert graph.edges() == [(1, 2)]
+        assert graph.vertices == [1, 2]
 
     def test_reverse(self):
         graph = graph_from_edges([(1, 2)])
