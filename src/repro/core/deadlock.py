@@ -244,6 +244,14 @@ class DeadlockQuerySession:
         """
         self._oracle.add_edge(source, target)
 
+    def add_edges(self, edges: Iterable[Tuple[Port, Port]]) -> None:
+        """Bulk :meth:`add_edge`: encode every new edge, sync the solver once.
+
+        Cross-checks hand a shared session exactly the edges their query
+        touches, in one batch.
+        """
+        self._oracle.add_edges(edges)
+
     def has_edge(self, source: Port, target: Port) -> bool:
         return self._oracle.has_edge(source, target)
 

@@ -310,21 +310,21 @@ def _decide_instance(instance, brute_force: bool,
         condition = "vc-escape"
         graph = channel_dependency_graph(relation)
         coverage = check_v1_escape_coverage(relation)
+        # (V-1) coverage is shared (a plain enumeration, not a solver), so
+        # the deciders are compared on their (V-2) halves: AND-ed with a
+        # failing (V-1), a (V-2) disagreement would not show.
+        covered = coverage.holds
         explicit = check_deadlock_freedom_vc(
-            relation, graph=graph, coverage=coverage).holds
+            relation, graph=graph, coverage=coverage).obligations[1].holds
         cdcl = check_deadlock_freedom_vc_incremental(
-            relation, graph=graph, coverage=coverage).holds
-        # (V-2) restricted to the escape class is what brute force re-derives;
-        # (V-1) coverage is shared (it is a plain enumeration, not a solver).
-        escape_edges = class_edges(graph, relation.escape_vcs)
-        brute_acyclic = (brute_force_acyclic(escape_edges,
-                                             max_vertices=max_brute_vertices)
-                         if brute_force else None)
-        brute = (None if brute_acyclic is None
-                 else coverage.holds and brute_acyclic)
+            relation, graph=graph, coverage=coverage).obligations[1].holds
+        brute = (brute_force_acyclic(class_edges(graph, relation.escape_vcs),
+                                     max_vertices=max_brute_vertices)
+                 if brute_force else None)
         edge_count = graph.edge_count
     else:
         condition = "theorem1"
+        covered = True
         graph = routing_dependency_graph(relation)
         dfs_free = find_cycle_dfs(graph).acyclic
         scc_free = is_acyclic_by_scc(graph)
@@ -347,7 +347,9 @@ def _decide_instance(instance, brute_force: bool,
     if brute is not None and brute != explicit:
         disagreements.append(
             f"brute-vs-explicit: brute={brute} explicit={explicit}")
-    return condition, cdcl, explicit, brute, edge_count, disagreements
+    return (condition, covered and cdcl, covered and explicit,
+            None if brute is None else covered and brute, edge_count,
+            disagreements)
 
 
 def _simulate_instance(instance, deadlock_free: bool, index: int,

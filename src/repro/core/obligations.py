@@ -399,11 +399,14 @@ def check_v2_incremental(relation, session=None,
                          ) -> ObligationResult:
     """(V-2) discharged through an incremental solver session.
 
-    The channel-edge universe is encoded once into a
-    :class:`~repro.core.deadlock.DeadlockQuerySession` (or merged into a
-    shared one) and the escape-class restriction is a single solve under
-    assumptions -- the per-VC-class analogue of the restricted ``P' ⊆ P``
-    query.  The live session is returned in ``details["session"]``.
+    Only the escape-class edges are encoded: a fresh
+    :class:`~repro.core.deadlock.DeadlockQuerySession` is built over them
+    alone, a shared one receives them in one bulk
+    :meth:`~repro.core.deadlock.DeadlockQuerySession.add_edges`.  The
+    (V-2) verdict is then a single solve under assumptions -- the
+    per-VC-class analogue of the restricted ``P' ⊆ P`` query.  The live
+    session is returned in ``details["session"]`` and, when the class is
+    cyclic, the UNSAT cycle core in ``details["core"]``.
     """
 
     def run() -> Tuple[bool, int, List[str], Dict[str, object]]:
@@ -415,24 +418,27 @@ def check_v2_incremental(relation, session=None,
 
         full = graph if graph is not None \
             else channel_dependency_graph(relation)
+        edges = class_edges(full, relation.escape_vcs)
         if session is None:
-            live = DeadlockQuerySession(full, name=relation.name())
+            live = DeadlockQuerySession(DirectedGraph.from_edges(edges),
+                                        name=relation.name())
         else:
             live = session
-            for source, target in full.edges():
-                live.add_edge(source, target)
-        edges = class_edges(full, relation.escape_vcs)
+            live.add_edges(edges)
         queries_before = live.queries
         acyclic = live.is_deadlock_free_edges(edges)
         counterexamples: List[str] = []
+        details: Dict[str, object] = {
+            "escape_edges": len(edges), "escape_edge_list": edges,
+            "session": live}
         if not acyclic:
             core = live.cycle_core_for(edges) or []
+            details["core"] = core
             counterexamples.append(
                 "escape-class dependency cycle within: "
                 + " , ".join(f"{s} -> {t}" for s, t in core[:8]))
         return (acyclic, live.queries - queries_before, counterexamples,
-                {"escape_edges": len(edges), "escape_edge_list": edges,
-                 "session": live})
+                details)
 
     return _timed(run, "V-2(incremental)")
 

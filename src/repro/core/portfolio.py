@@ -19,9 +19,10 @@ runs that sweep:
 
 ``cross_check=True`` adds the independent CDCL decider: per topology group,
 **one** :class:`~repro.core.deadlock.DeadlockQuerySession` hosts the union
-of every scenario's dependency edges, each behind a selector variable, and
-re-decides each scenario as one solve under assumptions.  Any disagreement
-with the explicit verdict raises.
+of every scenario's query edges (its dependency edges, or a VC scenario's
+escape-class edges), each behind a selector variable, and re-decides each
+scenario as one solve under assumptions.  Any disagreement with the
+explicit verdict raises.
 """
 
 from __future__ import annotations
@@ -212,8 +213,7 @@ class ScenarioVerdict:
     #: Dependency edges of this scenario's routing function.
     edges: int
     #: Edges this scenario newly added to its group's edge union (0 for a
-    #: scenario whose edges were all seen before; under ``cross_check``
-    #: these are the edges newly encoded into the shared session).
+    #: scenario whose edges were all seen before).
     new_edges: int
     elapsed_seconds: float
     #: For deadlock-prone designs: one shortest dependency cycle, in cycle
@@ -634,8 +634,9 @@ def _run_group(payload: Tuple,
     core is one shortest cycle, and its escape edges are the core edges
     whose removal alone makes the query graph acyclic.  With
     ``cross_check`` the group also builds one shared incremental CDCL
-    session over the union of its topologies and re-decides every
-    scenario on it, raising on any disagreement.
+    session over the union of its topologies, feeds it each scenario's
+    query edges and re-decides every scenario on it, raising on any
+    disagreement.
 
     ``payload`` is a single picklable tuple ``(group_key, indexed_scenarios,
     seed, analyse_failures, cross_check, shard[, budget_s, fault_directive,
@@ -727,7 +728,10 @@ def _run_group(payload: Tuple,
         if cross_check:
             # The CDCL cross-check hosts the union of the group's vertex
             # universes in one shared session, enumerated in submission
-            # order, and re-decides every scenario on it.
+            # order, and re-decides every scenario on it.  A scenario's
+            # query edges (the whole graph, or a VC scenario's escape
+            # class) join the session just before its solve; no other
+            # edge is ever encoded.
             base: DirectedGraph[Port] = DirectedGraph()
             for _, _, instance in resolved:
                 for port in instance.topology.ports:
@@ -756,8 +760,6 @@ def _run_group(payload: Tuple,
                 if edge not in known_edges:
                     known_edges.add(edge)
                     new_edges += 1
-                    if session is not None:
-                        session.add_edge(*edge)
 
             relation = (instance.routing
                         if isinstance(instance.routing, EscapeChannelRouting)
@@ -785,7 +787,9 @@ def _run_group(payload: Tuple,
                 escape = critical_edges(query, cycle_core)
 
             if session is not None:
-                reference = session.is_deadlock_free_edges(query.edges())
+                query_edges = query.edges()
+                session.add_edges(query_edges)
+                reference = session.is_deadlock_free_edges(query_edges)
                 if reference != acyclic:
                     raise AssertionError(
                         f"portfolio verdict disagrees with the CDCL "

@@ -25,6 +25,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from repro.checking.graphs import DirectedGraph, critical_edges, shortest_cycle
 from repro.core.configuration import Configuration
 from repro.core.genoc import GeNoCResult
 from repro.core.instance import NoCInstance
@@ -185,10 +186,12 @@ def check_deadlock_freedom_incremental(
     Discharges the Theorem 1 condition through a
     :class:`~repro.core.deadlock.DeadlockQuerySession`: the dependency-edge
     universe is SAT-encoded once and the condition -- plus a few restricted
-    ``P' ⊆ P`` spot checks mirroring (C-3)'s quantifier, plus escape-edge
-    analysis when the condition fails -- is answered by incremental solves
-    on the same solver.  Pass a ``session`` to share the encoding across
-    many checks (the portfolio driver does).
+    ``P' ⊆ P`` spot checks mirroring (C-3)'s quantifier, plus the cycle
+    core when the condition fails -- is answered by incremental solves on
+    the same solver.  The escape edges of a failing condition come from one
+    shortest cycle of the graph (:func:`_escape_fixes`), not the solver.
+    Pass a ``session`` to share the encoding across many checks; it
+    receives this instance's edges in one bulk ``add_edges``.
     """
     from repro.core.deadlock import DeadlockQuerySession
     from repro.core.dependency import routing_dependency_graph
@@ -205,8 +208,7 @@ def check_deadlock_freedom_incremental(
     if session is None:
         session = DeadlockQuerySession.for_instance(instance)
     else:
-        for source, target in edges:
-            session.add_edge(source, target)
+        session.add_edges(edges)
     queries_before = session.queries
     holds = session.is_deadlock_free_edges(edges)
     counterexamples: List[str] = []
@@ -237,11 +239,8 @@ def check_deadlock_freedom_incremental(
             "dependency cycle within: "
             + " , ".join(f"{s} -> {t}" for s, t in core[:8])
             + (" ..." if len(core) > 8 else ""))
-        edge_set = set(edges)
-        escapes = [edge for edge in core
-                   if session.is_deadlock_free_edges(edge_set - {edge})]
         details["cycle_core_edges"] = len(core)
-        details["escape_edges"] = [f"{s} -> {t}" for s, t in escapes[:8]]
+        details["escape_edges"] = _escape_fixes(graph)
 
     elapsed = time.perf_counter() - start
     details["incremental_queries"] = session.queries - queries_before
@@ -250,6 +249,16 @@ def check_deadlock_freedom_incremental(
         checks=session.queries - queries_before,
         counterexamples=counterexamples, elapsed_seconds=elapsed,
         details=details)
+
+
+def _escape_fixes(graph: DirectedGraph) -> List[str]:
+    """The single-edge removals that make a cyclic ``graph`` acyclic.
+
+    Such an edge lies on every cycle, so the edges of one shortest cycle
+    are the only candidates: one depth-first search each, no solver.
+    """
+    cycle = shortest_cycle(graph) or []
+    return [f"{s} -> {t}" for s, t in critical_edges(graph, cycle)]
 
 
 def check_deadlock_freedom_vc(relation,
@@ -312,13 +321,14 @@ def check_deadlock_freedom_vc_incremental(
         coverage: Optional["ObligationResult"] = None) -> TheoremResult:
     """DeadThm at VC granularity via the incremental solver session.
 
-    The channel-edge universe is SAT-encoded once (or merged into a shared
-    ``session``) and the escape-class restriction of (V-2) is answered by a
-    solve under assumptions -- the per-VC-class analogue of the restricted
+    Only the escape-class edges are SAT-encoded (into a fresh session, or
+    merged into a shared ``session``) and (V-2) is answered by a solve
+    under assumptions -- the per-VC-class analogue of the restricted
     ``P' ⊆ P`` query.  (V-1) is discharged by cheap explicit enumeration,
-    exactly as in :func:`check_deadlock_freedom_vc`.  On failure the
-    escape-class cycle core and the single-edge removals that would restore
-    freedom are extracted from the same session.
+    exactly as in :func:`check_deadlock_freedom_vc`.  On failure the cycle
+    core is the one :func:`~repro.core.obligations.check_v2_incremental`
+    extracted, and the single-edge removals that would restore freedom
+    come from one shortest escape-class cycle (:func:`_escape_fixes`).
     """
     from repro.core.dependency import channel_dependency_graph
     from repro.core.obligations import (
@@ -348,22 +358,18 @@ def check_deadlock_freedom_vc_incremental(
         "session": session.name,
     }
     if fresh_session:
-        # On a fresh session the universe is exactly this relation's edge
-        # set, so the class-restriction query must agree with the explicit
-        # edge-list restriction -- a solver self-check for free.
+        # On a fresh session the universe is exactly this relation's
+        # escape-class edge set, so the class-restriction query must agree
+        # with the explicit edge-list restriction -- a solver self-check.
         by_class = session.is_deadlock_free_for_class(relation.escape_vcs)
         if by_class != escape_acyclic:
             raise AssertionError(
                 f"class-restricted query disagrees with edge-restricted "
                 f"query: {by_class} vs {escape_acyclic}")
     if not escape_acyclic:
-        escape_edges = v2.details["escape_edge_list"]
-        core = session.cycle_core_for(escape_edges) or []
-        edge_set = set(escape_edges)
-        escapes = [edge for edge in core
-                   if session.is_deadlock_free_edges(edge_set - {edge})]
-        details["cycle_core_edges"] = len(core)
-        details["escape_edges_fixes"] = [f"{s} -> {t}" for s, t in escapes[:8]]
+        details["cycle_core_edges"] = len(v2.details["core"])
+        details["escape_edges_fixes"] = _escape_fixes(
+            DirectedGraph.from_edges(v2.details["escape_edge_list"]))
 
     elapsed = time.perf_counter() - start
     details["incremental_queries"] = session.queries - queries_before

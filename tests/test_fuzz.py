@@ -2,17 +2,22 @@
 (:mod:`repro.core.fuzz`): deterministic spec generation, the independent
 brute-force decider, campaign reports and the ``repro fuzz`` CLI."""
 
+import dataclasses
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from repro.cli import main as cli_main
+from repro.core import fuzz, theorems
 from repro.core.fuzz import (
     FUZZ_KINDS,
+    _decide_instance,
     brute_force_acyclic,
     generate_fuzz_specs,
     run_fuzz_campaign,
 )
+from tests.test_dependency import _leaky
 
 
 class TestSpecGeneration:
@@ -128,6 +133,51 @@ class TestCampaign:
         text = report.format_summary()
         assert "12 instances" in text
         assert "all deciders agree" in text
+
+
+class TestVcDisagreementsBehindFailingCoverage:
+    """A (V-2) disagreement must show even when (V-1) already fails."""
+
+    def _decide(self):
+        instance = SimpleNamespace(routing=_leaky())
+        return _decide_instance(instance, brute_force=True,
+                                max_brute_vertices=400)
+
+    def test_the_leaky_relation_fails_v1_and_agrees(self):
+        condition, cdcl, explicit, brute, _, disagreements = self._decide()
+        assert condition == "vc-escape"
+        assert cdcl is explicit is brute is False
+        assert disagreements == []
+
+    def test_a_flipped_cdcl_v2_is_reported(self, monkeypatch):
+        original = theorems.check_deadlock_freedom_vc_incremental
+
+        def flipped(*args, **kwargs):
+            result = original(*args, **kwargs)
+            v1, v2 = result.obligations
+            v2 = dataclasses.replace(v2, holds=not v2.holds)
+            return dataclasses.replace(result, holds=v1.holds and v2.holds,
+                                       obligations=[v1, v2])
+
+        monkeypatch.setattr(theorems, "check_deadlock_freedom_vc_incremental",
+                            flipped)
+        _, cdcl, explicit, _, _, disagreements = self._decide()
+        # The reported verdicts stay the (V-1) AND (V-2) conjunction.
+        assert cdcl is explicit is False
+        assert [text.split(":")[0] for text in disagreements] == \
+            ["cdcl-vs-explicit"]
+
+    def test_a_flipped_brute_force_v2_is_reported(self, monkeypatch):
+        original = fuzz.brute_force_acyclic
+
+        def flipped(*args, **kwargs):
+            return not original(*args, **kwargs)
+
+        monkeypatch.setattr(fuzz, "brute_force_acyclic", flipped)
+        _, _, _, brute, _, disagreements = self._decide()
+        assert brute is False
+        assert [text.split(":")[0] for text in disagreements] == \
+            ["brute-vs-explicit"]
 
 
 class TestFuzzCli:
