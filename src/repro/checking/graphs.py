@@ -300,9 +300,16 @@ def critical_edges(graph: DirectedGraph[V],
     removal restores acyclicity lies on *every* cycle -- in particular on
     ``cycle``, any one cycle of the graph.  Testing that cycle's edges, one
     depth-first search each, therefore finds all of them; they are returned
-    in cycle order.
+    in cycle order.  Every entry must be an edge of ``graph``: a vertex that
+    happens to be a pair (a virtual channel) is rejected, not unpacked.
     """
-    return [edge for edge in cycle if _acyclic_without(graph, edge)]
+    critical = []
+    for edge in cycle:
+        if not graph.has_edge(*edge):
+            raise ValueError(f"not an edge of the graph: {edge!r}")
+        if _acyclic_without(graph, edge):
+            critical.append(edge)
+    return critical
 
 
 def _acyclic_without(graph: DirectedGraph[V], removed: Tuple[V, V]) -> bool:

@@ -335,8 +335,17 @@ class AcyclicityOracle:
 
     def is_acyclic_without(self,
                            removed: Iterable[Tuple[V, V]]) -> bool:
-        """Acyclicity of the full universe minus the given edges."""
+        """Acyclicity of the full universe minus the given edges.
+
+        Like every edge argument of the oracle, each removed edge must be
+        in the universe (``KeyError`` otherwise), so a vertex that happens
+        to be a pair (a virtual channel) cannot pass for an edge.
+        """
         removed_set = {tuple(edge) for edge in removed}
+        outside = removed_set - self._edge_selector.keys()
+        if outside:
+            raise KeyError(f"edges {sorted(outside, key=repr)!r} are not "
+                           f"in the oracle universe")
         return self.is_acyclic(edge for edge in self._edges
                                if edge not in removed_set)
 

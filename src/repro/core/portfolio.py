@@ -55,6 +55,7 @@ from repro.core.instance import NoCInstance
 from repro.core.obligations import check_v1_escape_coverage
 from repro.core.spec import ScenarioSpec, expand_matrix
 from repro.network.port import Port
+from repro.network.vc import is_resource
 
 #: Verdict statuses a scenario can end a run with: ``"ok"`` (the solver
 #: decided it), ``"timeout"`` (a group/run deadline or solver budget cut
@@ -251,6 +252,8 @@ class ScenarioVerdict:
         # already-formatted strings of their JSON image.
         if isinstance(entry, str):
             return entry
+        if is_resource(entry):
+            raise TypeError(f"expected a dependency edge, got {entry!r}")
         source, target = entry
         return f"{source} -> {target}"
 

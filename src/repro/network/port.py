@@ -3,8 +3,9 @@
 The paper (Section V.1) represents a port as a tuple ``<x, y, P, D>`` where
 ``x`` and ``y`` are the coordinates of the processing node, ``P`` is the port
 name (East, West, North, South or Local) and ``D`` the direction (IN or OUT).
-This module provides that tuple as an immutable, hashable dataclass together
-with the port algebra used throughout the paper:
+This module provides that tuple literally -- :class:`Port` is a
+``typing.NamedTuple`` ``(x, y, name, direction)`` -- together with the port
+algebra used throughout the paper:
 
 * ``trans(p, name, direction)`` -- the port with the given name/direction in
   the *same* processing node as ``p``.
@@ -16,13 +17,28 @@ Coordinate convention (matching the paper's routing function): ``x`` grows
 towards the East and ``y`` grows towards the *South*; i.e. routing North
 decreases ``y``.  This matches ``Rxy`` in Section V.3 where the next hop is
 the North out-port when ``y(d) < y(p)``.
+
+Value contract.  Ports are the vertices of every dependency graph and the
+keys of every routing table and network state, so their identity must not
+drift:
+
+* **hash** -- the tuple hash of ``(x, y, name, direction)``.  The enum
+  fields are ``str`` enums and hash as their values, so under a fixed
+  ``PYTHONHASHSEED`` every set and dict of ports iterates in one order;
+* **order** -- lexicographic on the fields, in field order;
+* **repr** -- ``Port(x=1, y=2, name=PortName.EAST, direction=Direction.OUT)``
+  (vertex orders sorted by ``repr`` rely on it);
+* immutable (assignment raises ``AttributeError``) and picklable.
+
+Being a tuple, a port also equals the plain tuple of its fields, never a
+:class:`~repro.network.vc.VirtualChannel` (a pair), and ``json`` writes it
+as an array: reports serialise resources through ``str``.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 
 class Direction(str, enum.Enum):
@@ -73,13 +89,12 @@ OFFSETS = {
 }
 
 
-@dataclass(frozen=True, order=True)
-class Port:
+class Port(NamedTuple):
     """A port ``<x, y, P, D>`` of a processing node.
 
     Ports are immutable and hashable so they can be used as graph vertices,
     dictionary keys in network states and members of dependency-graph edge
-    sets.
+    sets (see the module docstring for the value contract).
     """
 
     x: int

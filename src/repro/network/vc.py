@@ -11,9 +11,14 @@ classic repair for deadlock-prone adaptive routing (Duato's methodology)
 
 This module provides the resource layer of that story:
 
-* :class:`VirtualChannel` -- the ``(port, vc)`` pair, immutable and hashable,
+* :class:`VirtualChannel` -- the ``(port, vc)`` pair, a ``typing.NamedTuple``
   usable everywhere a :class:`~repro.network.port.Port` is used as a state
-  key, route element or dependency-graph vertex;
+  key, route element or dependency-graph vertex.  It keeps the port's value
+  contract: the tuple hash of ``(port, vc)``, lexicographic order on
+  ``(port, vc)``, the repr ``VirtualChannel(port=Port(...), vc=1)``,
+  immutability and pickling.  A channel is a pair, like a dependency edge:
+  code that accepts an edge rejects a lone resource (:func:`is_resource`)
+  instead of unpacking it;
 * :class:`VCTopology` -- a view of a base topology whose resource set is the
   channels instead of the ports: every cardinal port contributes ``num_vcs``
   channels, local (IP interface) ports contribute one.  Because
@@ -29,16 +34,14 @@ machinery coincides with the paper's single-VC model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from repro.network.node import Node
 from repro.network.port import Port, neighbour_node, parse_port
 from repro.network.topology import Topology
 
 
-@dataclass(frozen=True, order=True)
-class VirtualChannel:
+class VirtualChannel(NamedTuple):
     """A virtual channel ``(port, vc)``: one lane of a physical port.
 
     Channels are immutable and hashable so they can serve as network-state
@@ -96,6 +99,16 @@ class VirtualChannel:
 
 #: A network resource: a plain port (single-VC model) or a virtual channel.
 Resource = Union[Port, VirtualChannel]
+
+
+def is_resource(value: object) -> bool:
+    """Is ``value`` a port or a channel (rather than, say, an edge)?
+
+    Resources are tuples, and a channel is a pair just like a dependency
+    edge ``(source, target)``; code that accepts an edge must ask this
+    before unpacking, or a lone channel would unpack as ``(port, vc)``.
+    """
+    return isinstance(value, (Port, VirtualChannel))
 
 
 def port_of(resource: Resource) -> Port:

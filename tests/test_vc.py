@@ -2,8 +2,14 @@
 VCTopology, per-VC buffer/ownership state, the FlitBufferError rename and
 the single-VC degenerate case."""
 
+import pickle
+from dataclasses import dataclass
+
 import pytest
 
+from repro.checking.graphs import DirectedGraph, critical_edges
+from repro.checking.incremental import AcyclicityOracle
+from repro.core.portfolio import ScenarioVerdict
 from repro.core.state import NetworkState
 from repro.network.buffers import (
     FlitBuffer,
@@ -19,11 +25,13 @@ from repro.network.vc import (
     VCTopology,
     VirtualChannel,
     channels_of,
+    is_resource,
     is_wrap_link,
     parse_channel,
     port_of,
     vc_of,
 )
+from tests.test_port import ReferencePort, reference_port
 
 
 EAST_OUT = Port(0, 0, PortName.EAST, Direction.OUT)
@@ -172,3 +180,106 @@ class TestFlitBufferErrorRename:
         foreign = make_flits(2, 1)[0]
         with pytest.raises(FlitBufferError, match="owned by travel 1"):
             state.accept(foreign)
+
+
+# ---------------------------------------------------------------------------
+# Value contract: the tuple VirtualChannel behaves like the old dataclass
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, order=True)
+class ReferenceVirtualChannel:
+    """The frozen-dataclass ``VirtualChannel`` that the tuple replaced
+    (over the reference port), kept as the value contract's reference."""
+
+    __qualname__ = "VirtualChannel"  # repr like the original
+
+    port: ReferencePort
+    vc: int
+
+    def __str__(self) -> str:
+        return f"{self.port}#{self.vc}"
+
+
+def reference_channel(channel):
+    return ReferenceVirtualChannel(reference_port(channel.port), channel.vc)
+
+
+class TestVirtualChannelValueContract:
+    CHANNELS = VCTopology(Mesh2D(3, 3), 2).ports
+
+    def test_hash_repr_and_str_match_the_dataclass(self):
+        # 48 linked cardinal ports at 2 VCs, 18 local ports at one.
+        assert len(self.CHANNELS) == 48 * 2 + 18
+        for channel in self.CHANNELS:
+            reference = reference_channel(channel)
+            assert hash(channel) == hash(reference)
+            assert repr(channel) == repr(reference)
+            assert str(channel) == str(reference)
+
+    def test_orders_match_the_dataclass(self):
+        references = [reference_channel(c) for c in self.CHANNELS]
+        assert [reference_channel(c) for c in sorted(self.CHANNELS)] == \
+            sorted(references)
+        assert [reference_channel(c)
+                for c in sorted(self.CHANNELS, key=repr)] == \
+            sorted(references, key=repr)
+        assert [reference_channel(c) for c in set(self.CHANNELS)] == \
+            list(set(references))
+
+    def test_pickle_round_trip(self):
+        restored = pickle.loads(pickle.dumps(self.CHANNELS))
+        assert restored == self.CHANNELS
+        assert all(type(c) is VirtualChannel and type(c.port) is Port
+                   for c in restored)
+
+    def test_parse_inverts_str(self):
+        assert [parse_channel(str(c)) for c in self.CHANNELS] == \
+            self.CHANNELS
+
+    @pytest.mark.parametrize("attribute", ["port", "vc", "extra"])
+    def test_assignment_raises(self, attribute):
+        with pytest.raises(AttributeError):
+            setattr(VirtualChannel(EAST_OUT, 1), attribute, 0)
+
+    def test_a_port_never_equals_its_channel(self):
+        for port in Mesh2D(3, 3).ports:
+            channel = VirtualChannel(port, 0)
+            assert port != channel and channel != port
+            assert len({port, channel}) == 2
+
+
+class TestChannelIsNotAnEdge:
+    """A channel is a pair, like an edge; edge-taking code must not
+    unpack a lone channel as ``(port, vc)``."""
+
+    CHANNEL = VirtualChannel(EAST_OUT, 0)
+    TARGET = VirtualChannel(WEST_IN, 0)
+
+    def test_is_resource(self):
+        assert is_resource(EAST_OUT) and is_resource(self.CHANNEL)
+        assert not is_resource((self.CHANNEL, self.TARGET))
+        assert not is_resource("<0,0,E,OUT>#0 -> <1,0,W,IN>#0")
+
+    def test_verdict_edge_formatting_rejects_a_channel(self):
+        edge = (self.CHANNEL, self.TARGET)
+        assert ScenarioVerdict._format_edge(edge) == \
+            "<0,0,E,OUT>#0 -> <1,0,W,IN>#0"
+        with pytest.raises(TypeError):
+            ScenarioVerdict._format_edge(self.CHANNEL)
+
+    def test_critical_edges_rejects_a_vertex_cycle(self):
+        graph = DirectedGraph.from_edges([(self.CHANNEL, self.TARGET),
+                                          (self.TARGET, self.CHANNEL)])
+        assert critical_edges(graph, graph.edges()) == graph.edges()
+        with pytest.raises(ValueError):
+            critical_edges(graph, [self.CHANNEL, self.TARGET])
+
+    def test_oracle_removal_rejects_a_channel(self):
+        graph = DirectedGraph.from_edges([(self.CHANNEL, self.TARGET),
+                                          (self.TARGET, self.CHANNEL)])
+        oracle = AcyclicityOracle(graph)
+        assert oracle.is_acyclic_without([(self.CHANNEL, self.TARGET)])
+        with pytest.raises(KeyError):
+            oracle.is_acyclic_without([self.CHANNEL])
+        with pytest.raises(KeyError):
+            oracle.critical_edges([self.CHANNEL, self.TARGET])
